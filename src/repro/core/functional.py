@@ -35,6 +35,7 @@ from ..obs.timeseries import TimeSeries
 from ..resilience.harness import ResilienceConfig, ResilienceHarness
 from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
 from .event import Event
+from .kernel import CACHE_LINE, LOOKAHEAD_BUCKETS, drain_round
 from .queue import CoalescingQueue
 
 __all__ = [
@@ -44,12 +45,6 @@ __all__ = [
     "TrafficCounters",
     "LOOKAHEAD_BUCKETS",
 ]
-
-#: Histogram bucket upper bounds for Figure 8 (the paper buckets lookahead
-#: as 0, <100, <200, <300, <400, >400).
-LOOKAHEAD_BUCKETS = (0, 100, 200, 300, 400)
-
-_CACHE_LINE = 64
 
 
 @dataclass
@@ -116,7 +111,7 @@ class RoundRecord:
     def offchip_bytes(self) -> int:
         """Off-chip traffic of this round (vertex lines read+written plus
         edge lines read), at cache-line granularity."""
-        return (2 * self.vertex_lines + self.edge_lines) * 64
+        return (2 * self.vertex_lines + self.edge_lines) * CACHE_LINE
 
 
 @dataclass
@@ -142,16 +137,6 @@ class FunctionalResult:
             return 0.0
         absorbed = produced - self.total_events_processed
         return max(absorbed, 0) / produced
-
-
-def _lookahead_bucket(lookahead: int) -> str:
-    """Bucket label in the paper's Figure 8 style."""
-    if lookahead <= 0:
-        return "0"
-    for bound in LOOKAHEAD_BUCKETS[1:]:
-        if lookahead < bound:
-            return f"<{bound}"
-    return f">{LOOKAHEAD_BUCKETS[-1]}"
 
 
 class FunctionalGraphPulse:
@@ -227,7 +212,6 @@ class FunctionalGraphPulse:
         self.max_rounds = max_rounds
         self.scheduling = scheduling
         self.state = spec.initial_state(graph)
-        self._out_degrees = graph.out_degrees()
         self.timeseries = timeseries
         self._now = 0.0
         self._resumed = False
@@ -421,7 +405,7 @@ class FunctionalGraphPulse:
         state: np.ndarray,
         traffic: TrafficCounters,
     ) -> RoundRecord:
-        graph, spec, queue = self.graph, self.spec, self.queue
+        queue = self.queue
         self._now = float(round_index)
         inserted_before = queue.stats.inserted
         coalesced_before = queue.stats.coalesced
@@ -429,22 +413,18 @@ class FunctionalGraphPulse:
         vertex_lines_before = traffic.vertex_bytes_fetched
         edge_lines_before = traffic.edge_bytes_fetched
         writes_before = traffic.vertex_writes
-        processed = 0
-        progress = 0.0
         histogram: Dict[str, int] = {}
-
-        for bin_index in self._bin_visit_order():
-            batch = queue.drain_bin(bin_index)
-            if not batch:
-                continue
-            processed += len(batch)
-            self._account_vertex_batch(batch, traffic)
-            for event in batch:
-                if self.track_lookahead:
-                    bucket = _lookahead_bucket(event.generation - round_index)
-                    histogram[bucket] = histogram.get(bucket, 0) + 1
-                progress += self._process_event(event, state, traffic)
-
+        processed, _, progress = drain_round(
+            self.graph,
+            self.spec,
+            state,
+            traffic,
+            queue,
+            self._bin_visit_order(),
+            self._now,
+            resilience=self.resilience,
+            lookahead=histogram if self.track_lookahead else None,
+        )
         return RoundRecord(
             round_index=round_index,
             events_processed=processed,
@@ -456,90 +436,7 @@ class FunctionalGraphPulse:
             propagating_events=traffic.vertex_writes - writes_before,
             edges_scanned=traffic.edge_reads - edge_reads_before,
             vertex_lines=(traffic.vertex_bytes_fetched - vertex_lines_before)
-            // (2 * _CACHE_LINE),
+            // (2 * CACHE_LINE),
             edge_lines=(traffic.edge_bytes_fetched - edge_lines_before)
-            // _CACHE_LINE,
+            // CACHE_LINE,
         )
-
-    def _process_event(
-        self,
-        event: Event,
-        state: np.ndarray,
-        traffic: TrafficCounters,
-    ) -> float:
-        """Algorithm 1 lines 4-14 for one event; returns |change|."""
-        graph, spec = self.graph, self.spec
-        u = event.vertex
-        traffic.vertex_reads += 1
-        result = spec.apply(float(state[u]), event.delta)
-        if not result.changed:
-            return 0.0
-        new_state = result.state
-        if self.resilience is not None:
-            ok, new_state = self.resilience.guard_value(u, new_state, self._now)
-            if not ok:
-                # quarantine: reset to identity, do not propagate garbage;
-                # the quiescent invariant sweep repairs the vertex
-                state[u] = new_state
-                traffic.vertex_writes += 1
-                return 0.0
-        state[u] = new_state
-        traffic.vertex_writes += 1
-        magnitude = (
-            abs(result.change) if np.isfinite(result.change) else 0.0
-        )
-        if not spec.should_propagate(result.change):
-            return magnitude
-
-        degree = int(self._out_degrees[u])
-        if degree == 0:
-            return magnitude
-        traffic.edge_reads += degree
-        self._account_edge_slice(u, degree, traffic)
-        neighbors = graph.neighbors(u)
-        weights = (
-            graph.edge_weights(u)
-            if spec.uses_weights
-            else None
-        )
-        generation = event.generation + 1
-        for index in range(degree):
-            dst = int(neighbors[index])
-            weight = float(weights[index]) if weights is not None else 1.0
-            delta = spec.propagate(result.change, u, dst, weight, degree)
-            if delta == spec.identity:
-                continue  # Simplification property: identity is a no-op
-            produced = Event(vertex=dst, delta=delta, generation=generation)
-            if self.resilience is not None:
-                for survivor in self.resilience.filter_insert(
-                    produced, self._now
-                ):
-                    self.queue.insert(survivor)
-            else:
-                self.queue.insert(produced)
-        return magnitude
-
-    # ------------------------------------------------------------------
-    # Byte-level accounting helpers
-    # ------------------------------------------------------------------
-    def _account_vertex_batch(
-        self, batch: List[Event], traffic: TrafficCounters
-    ) -> None:
-        graph = self.graph
-        lines = {
-            graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch
-        }
-        # read + write-back of the touched lines
-        traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
-        traffic.vertex_bytes_useful += 2 * len(batch) * graph.vertex_bytes
-
-    def _account_edge_slice(
-        self, vertex: int, degree: int, traffic: TrafficCounters
-    ) -> None:
-        graph = self.graph
-        start = graph.edge_address(int(graph.offsets[vertex]))
-        stop = graph.edge_address(int(graph.offsets[vertex + 1]))
-        first_line = start // _CACHE_LINE
-        last_line = (stop - 1) // _CACHE_LINE
-        traffic.edge_bytes_fetched += (last_line - first_line + 1) * _CACHE_LINE
-        traffic.edge_bytes_useful += degree * graph.edge_bytes

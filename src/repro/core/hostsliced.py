@@ -92,7 +92,7 @@ from ..resilience.lease import DEFAULT_LEASE_TIMEOUT
 from ..resilience.substrate import build_substrate
 from .event import Event
 from .functional import TrafficCounters
-from .slicing import _SPILL_EVENT_BYTES, run_slice_activation
+from .slicing import _SPILL_EVENT_BYTES, coalesce_spill, run_slice_activation
 
 __all__ = [
     "HostSlicedGraphPulse",
@@ -672,13 +672,7 @@ class HostSlicedGraphPulse:
                     writer.consume(s)
 
                 def emit(target: int, event: Event) -> None:
-                    bucket = spill[target]
-                    existing = bucket.get(event.vertex)
-                    bucket[event.vertex] = (
-                        existing.coalesced_with(event, spec.reduce)
-                        if existing is not None
-                        else event
-                    )
+                    coalesce_spill(spill[target], event, spec.reduce)
                     if writer is not None:
                         writer.spill(
                             target, event.vertex, event.generation, event.delta

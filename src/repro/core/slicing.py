@@ -51,6 +51,7 @@ from ..resilience.harness import ResilienceConfig, ResilienceHarness
 from ..resilience.watchdog import ProgressWatchdog, build_diagnostic
 from .event import Event
 from .functional import TrafficCounters
+from .kernel import drain_round
 from .queue import CoalescingQueue
 
 __all__ = [
@@ -76,7 +77,6 @@ DISPATCH_MODES = ("barrier", "chained")
 #: bytes per spilled event: destination id (4 B per the paper's graphs,
 #: we keep 8 to match our 64-bit ids) + payload (8 B)
 _SPILL_EVENT_BYTES = 16
-_CACHE_LINE = 64
 
 
 @dataclass
@@ -125,6 +125,32 @@ class SlicedResult:
         return self.total_spill_bytes / total if total else 0.0
 
 
+def coalesce_spill(bucket: Dict[int, Event], event: Event, reduce_fn) -> None:
+    """Coalesce ``event`` into a spill bucket keyed by vertex id."""
+    existing = bucket.get(event.vertex)
+    bucket[event.vertex] = (
+        existing.coalesced_with(event, reduce_fn)
+        if existing is not None
+        else event
+    )
+
+
+def copy_spill(buckets: List[Dict[int, Event]]) -> List[Dict[int, Event]]:
+    """Independent copies of spill buckets (checkpoint capture/restore)."""
+    return [
+        {
+            v: Event(
+                vertex=e.vertex,
+                delta=e.delta,
+                generation=e.generation,
+                ready=e.ready,
+            )
+            for v, e in bucket.items()
+        }
+        for bucket in buckets
+    ]
+
+
 class _SpillBufferView:
     """Queue-shaped view over the per-slice spill buffers.
 
@@ -151,18 +177,7 @@ class _SpillBufferView:
         return [bucket[v] for v in sorted(bucket)]
 
     def snapshot(self) -> List[Dict[int, Event]]:
-        return [
-            {
-                v: Event(
-                    vertex=e.vertex,
-                    delta=e.delta,
-                    generation=e.generation,
-                    ready=e.ready,
-                )
-                for v, e in bucket.items()
-            }
-            for bucket in self._spill
-        ]
+        return copy_spill(self._spill)
 
 
 def resolve_partition(
@@ -203,95 +218,14 @@ def resolve_partition(
 
 
 # ----------------------------------------------------------------------
-# The slice-activation kernel, shared by the sequential engine and the
-# multi-process workers.  ``emit(target_slice, event)`` receives every
-# spilled event — cross-slice spills and the swap-out residue — in
-# exactly the order the sequential engine would apply them, which is
-# what keeps both execution modes bit-identical.
+# Slice activation, shared by the sequential engine, the multi-process
+# workers and the cross-host steps.  Rounds are drained by the one
+# Algorithm-1 kernel (:func:`repro.core.kernel.drain_round`) with a slice
+# route: ``emit(target_slice, event)`` receives every spilled event —
+# cross-slice spills and the swap-out residue — in exactly the order the
+# sequential engine would apply them, which is what keeps all execution
+# modes bit-identical.
 # ----------------------------------------------------------------------
-
-
-def _account_vertex_batch(
-    graph: CSRGraph, batch: List[Event], traffic: TrafficCounters
-) -> None:
-    lines = {graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch}
-    traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
-    traffic.vertex_bytes_useful += 2 * len(batch) * graph.vertex_bytes
-
-
-def _account_edge_slice(
-    graph: CSRGraph, vertex: int, degree: int, traffic: TrafficCounters
-) -> None:
-    start = graph.edge_address(int(graph.offsets[vertex]))
-    stop = graph.edge_address(int(graph.offsets[vertex + 1]))
-    first = start // _CACHE_LINE
-    last = (stop - 1) // _CACHE_LINE
-    traffic.edge_bytes_fetched += (last - first + 1) * _CACHE_LINE
-    traffic.edge_bytes_useful += degree * graph.edge_bytes
-
-
-def _process_slice_event(
-    partition: Partition,
-    spec: AlgorithmSpec,
-    event: Event,
-    state: np.ndarray,
-    traffic: TrafficCounters,
-    queue: CoalescingQueue,
-    slice_index: int,
-    emit: Callable[[int, Event], None],
-    resilience,
-    now: float,
-) -> int:
-    """Process one event; returns the number of events spilled."""
-    graph = partition.graph
-    u = event.vertex
-    traffic.vertex_reads += 1
-    result = spec.apply(float(state[u]), event.delta)
-    if not result.changed:
-        return 0
-    new_state = result.state
-    if resilience is not None:
-        ok, new_state = resilience.guard_value(u, new_state, now)
-        if not ok:
-            # quarantine: reset to identity, never propagate garbage
-            state[u] = new_state
-            traffic.vertex_writes += 1
-            return 0
-    state[u] = new_state
-    traffic.vertex_writes += 1
-    if not spec.should_propagate(result.change):
-        return 0
-    degree = graph.out_degree(u)
-    if degree == 0:
-        return 0
-    traffic.edge_reads += degree
-    _account_edge_slice(graph, u, degree, traffic)
-    neighbors = graph.neighbors(u)
-    weights = graph.edge_weights(u) if spec.uses_weights else None
-    generation = event.generation + 1
-    spilled = 0
-    for k in range(degree):
-        dst = int(neighbors[k])
-        weight = float(weights[k]) if weights is not None else 1.0
-        delta = spec.propagate(result.change, u, dst, weight, degree)
-        if delta == spec.identity:
-            continue
-        new_event = Event(vertex=dst, delta=delta, generation=generation)
-        target_slice = int(partition.slice_of_vertex[dst])
-        if target_slice == slice_index:
-            if resilience is not None:
-                for survivor in resilience.filter_insert(new_event, now):
-                    queue.insert(survivor)
-            else:
-                queue.insert(new_event)
-        else:
-            spilled += 1
-            if resilience is not None and resilience.spill_lost(
-                new_event, now
-            ):
-                continue  # lost in the DRAM spill buffer (not journaled)
-            emit(target_slice, new_event)
-    return spilled
 
 
 def run_slice_activation(
@@ -340,9 +274,8 @@ def run_slice_activation(
         for event in inbound:
             queue.insert(event)
 
-    processed = 0
-    spilled = 0
-    rounds = 0
+    processed = spilled = rounds = 0
+    route = (partition.slice_of_vertex, slice_index, emit)
     while not queue.is_empty:
         if (
             rounds_per_activation is not None
@@ -350,25 +283,19 @@ def run_slice_activation(
         ):
             break
         rounds += 1
-        for bin_index in range(queue.num_bins):
-            batch = queue.drain_bin(bin_index)
-            if not batch:
-                continue
-            processed += len(batch)
-            _account_vertex_batch(graph, batch, traffic)
-            for event in batch:
-                spilled += _process_slice_event(
-                    partition,
-                    spec,
-                    event,
-                    state,
-                    traffic,
-                    queue,
-                    slice_index,
-                    emit,
-                    resilience,
-                    now,
-                )
+        drained, out, _ = drain_round(
+            graph,
+            spec,
+            state,
+            traffic,
+            queue,
+            range(queue.num_bins),
+            now,
+            resilience=resilience,
+            route=route,
+        )
+        processed += drained
+        spilled += out
     # events still queued at swap-out are spilled back to this slice's
     # own buffer
     for event in queue.drain_all():
@@ -508,18 +435,7 @@ class SlicedGraphPulse:
                 partition_slices=self.partition.num_slices,
             )
         self.state[:] = restored.state
-        self._resume_spill = [
-            {
-                v: Event(
-                    vertex=e.vertex,
-                    delta=e.delta,
-                    generation=e.generation,
-                    ready=e.ready,
-                )
-                for v, e in bucket.items()
-            }
-            for bucket in restored.queue_snapshot
-        ]
+        self._resume_spill = copy_spill(restored.queue_snapshot)
         self._start_pass = restored.round_index
         if self.resilience is not None and restored.fault_cursor:
             self.resilience.injector.restore_cursor(restored.fault_cursor)
@@ -761,28 +677,18 @@ class SlicedGraphPulse:
     def _inject_repair(self, vertex: int, delta: float) -> None:
         """Queue a repair delta into the owning slice's spill buffer."""
         target = int(self.partition.slice_of_vertex[vertex])
-        bucket = self._spill[target]
         event = Event(vertex=vertex, delta=delta)
-        existing = bucket.get(vertex)
-        bucket[vertex] = (
-            existing.coalesced_with(event, self.spec.reduce)
-            if existing is not None
-            else event
-        )
+        coalesce_spill(self._spill[target], event, self.spec.reduce)
         self._journal_spill(target, event)
 
     def _restore_checkpoint(self, checkpoint) -> None:
         """Roll state and spill buffers back to a checkpoint."""
         self.state[:] = checkpoint.state
-        for bucket, snap in zip(self._spill, checkpoint.queue_snapshot):
+        for bucket, snap in zip(
+            self._spill, copy_spill(checkpoint.queue_snapshot)
+        ):
             bucket.clear()
-            for v, e in snap.items():
-                bucket[v] = Event(
-                    vertex=e.vertex,
-                    delta=e.delta,
-                    generation=e.generation,
-                    ready=e.ready,
-                )
+            bucket.update(snap)
         if self._journal is not None:
             # in-memory rollback rewrote the buffers without history;
             # re-baseline the WAL so replay-to-commit stays equivalent
@@ -801,13 +707,7 @@ class SlicedGraphPulse:
         event: Event,
     ) -> None:
         """Coalesce one spilled event into its bucket and WAL it."""
-        bucket = spill[target_slice]
-        existing = bucket.get(event.vertex)
-        bucket[event.vertex] = (
-            existing.coalesced_with(event, self.spec.reduce)
-            if existing is not None
-            else event
-        )
+        coalesce_spill(spill[target_slice], event, self.spec.reduce)
         self._journal_spill(target_slice, event)
 
     def _activate(
@@ -1071,52 +971,18 @@ class ParallelSlicedGraphPulse:
         in_flight: List[List[Event]],
     ) -> int:
         """One round on one accelerator; returns events processed."""
-        partition, spec = self.partition, self.spec
-        graph = partition.graph
-        processed = 0
-        for bin_index in range(queue.num_bins):
-            batch = queue.drain_bin(bin_index)
-            if not batch:
-                continue
-            processed += len(batch)
-            lines = {
-                graph.vertex_address(e.vertex) // _CACHE_LINE for e in batch
-            }
-            traffic.vertex_bytes_fetched += 2 * len(lines) * _CACHE_LINE
-            traffic.vertex_bytes_useful += (
-                2 * len(batch) * graph.vertex_bytes
-            )
-            for event in batch:
-                u = event.vertex
-                traffic.vertex_reads += 1
-                result = spec.apply(float(state[u]), event.delta)
-                if not result.changed:
-                    continue
-                state[u] = result.state
-                traffic.vertex_writes += 1
-                if not spec.should_propagate(result.change):
-                    continue
-                degree = graph.out_degree(u)
-                if degree == 0:
-                    continue
-                traffic.edge_reads += degree
-                neighbors = graph.neighbors(u)
-                weights = (
-                    graph.edge_weights(u) if spec.uses_weights else None
-                )
-                generation = event.generation + 1
-                for k in range(degree):
-                    dst = int(neighbors[k])
-                    w = float(weights[k]) if weights is not None else 1.0
-                    delta = spec.propagate(result.change, u, dst, w, degree)
-                    if delta == spec.identity:
-                        continue
-                    new_event = Event(
-                        vertex=dst, delta=delta, generation=generation
-                    )
-                    target = int(partition.slice_of_vertex[dst])
-                    if target == slice_index:
-                        queue.insert(new_event)
-                    else:
-                        in_flight[target].append(new_event)
+        processed, _, _ = drain_round(
+            self.partition.graph,
+            self.spec,
+            state,
+            traffic,
+            queue,
+            range(queue.num_bins),
+            0.0,  # untimed and fault-free: no site reads the clock
+            route=(
+                self.partition.slice_of_vertex,
+                slice_index,
+                lambda target, event: in_flight[target].append(event),
+            ),
+        )
         return processed
